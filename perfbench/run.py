@@ -2,13 +2,15 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload paper_search --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload paper_search --seed 1 --seconds 20 --trace 0
 
 Each repetition is a fresh interpreter with an empty state directory
-(``workloads.py``).  Repetitions run until ``--seconds`` is used up (at
-least one); set-up is sampled a few more times so ``setup_s`` is a median.
-With ``--trace 0`` the end-to-end metrics of ``BENCHMARK.json`` are printed;
-with ``--trace 1`` one untraced and one traced repetition of the same seed
+(``workloads.py``).  A run has a fixed number of cases, each with its own
+seed derived from ``--seed``; repetitions cycle through them until
+``--seconds`` is used up, every case at least once.  Set-up is sampled a
+few more times if needed so ``setup_s`` is a median.  With ``--trace 0``
+the end-to-end metrics of ``BENCHMARK.json`` are printed; with
+``--trace 1`` one untraced and one traced repetition of the first case
 give the per-layer metrics, the self-time table and the tracing overhead.
 The last line of standard output is one JSON object::
 
@@ -41,12 +43,12 @@ from fingerprint import machine_fingerprint, mismatches  # noqa: E402
 from tracing import (  # noqa: E402
     outermost_totals, read_jsonl, self_time_table, self_times, write_jsonl,
 )
-from workloads import WORKLOADS  # noqa: E402
+from workloads import SIZES, WORKLOADS, case_seed  # noqa: E402
 
 STATE_ROOT = ROOT / ".bench_state"
 REPORT_ROOT = ROOT / ".bench_out"
 #: set-up samples per run (full repetitions count towards it)
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 #: a run must end well inside the 180 s a run may take
 RUN_DEADLINE_S = 170.0
 
@@ -115,8 +117,21 @@ def _median(values: List[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def per_case(reps: List[dict], value: Callable[[dict], float]) -> float:
+    """Mean over a run's cases of each case's median repetition.
+
+    Every case weighs the same however many repetitions it got; the median
+    damps a repetition the machine slowed, and the mean over cases damps a
+    seed that needs more work, or finds a better front, than most.
+    """
+    by_case: Dict[int, List[float]] = {}
+    for rep in reps:
+        by_case.setdefault(rep["case"], []).append(value(rep))
+    return statistics.fmean(statistics.median(v) for v in by_case.values())
+
+
 def end_to_end(reps: List[dict], setups: List[float]) -> Dict[str, float]:
-    """The end-to-end metrics over a set of repetitions (medians)."""
+    """The end-to-end metrics over a set of repetitions."""
     attempted = sum(r["attempted"] for r in reps)
     failed = sum(r["failed"] for r in reps)
     # a served repetition mixes six job types of very different length, so
@@ -124,48 +139,61 @@ def end_to_end(reps: List[dict], setups: List[float]) -> Dict[str, float]:
     mean = statistics.fmean
     return {
         "setup_s": _median(setups),
-        "search_s": _median([mean(r["search_s"]) for r in reps]),
-        "job_s": _median([mean(r["job_s"]) for r in reps]),
+        "search_s": per_case(reps, lambda r: mean(r["search_s"])),
+        "job_s": per_case(reps, lambda r: mean(r["job_s"])),
         # completed jobs per minute of the job phase (a whole invocation
         # for an in-process workload)
-        "jobs_per_min": _median([
-            60.0 * r["jobs"] / (r["phase_s"] if r["workload"] == "served" else r["job_s"][0])
-            for r in reps
-        ]),
-        "hypervolume": _median([r["hypervolume"] for r in reps]),
-        "best_acc": _median([r["best_acc"] for r in reps]),
+        "jobs_per_min": per_case(reps, lambda r: 60.0 * r["jobs"] / (
+            r["phase_s"] if r["workload"] == "served" else r["job_s"][0]
+        )),
+        "hypervolume": per_case(reps, lambda r: r["hypervolume"]),
+        "best_acc": per_case(reps, lambda r: r["best_acc"]),
         "ok_share": (attempted - failed) / attempted if attempted else 0.0,
-        "peak_rss_mb": _median([r["peak_rss_mb"] for r in reps]),
+        "peak_rss_mb": per_case(reps, lambda r: r["peak_rss_mb"]),
     }
 
 
 def same_outcomes(reps: List[dict]) -> List[str]:
-    """Hypervolume and best scheme must repeat exactly within a set."""
-    first = reps[0]["outcome"]
-    return [
-        f"repetition {i + 1} differs from repetition 1: {r['outcome']} != {first}"
-        for i, r in enumerate(reps[1:], start=1)
-        if r["outcome"] != first
-    ]
+    """Hypervolume and best scheme must repeat exactly within a case."""
+    first: Dict[int, tuple] = {}
+    differing = []
+    for i, rep in enumerate(reps):
+        index, outcome = first.setdefault(rep["case"], (i, rep["outcome"]))
+        if rep["outcome"] != outcome:
+            differing.append(
+                f"repetition {i + 1} differs from repetition {index + 1} of case "
+                f"{rep['case']}: {rep['outcome']} != {outcome}"
+            )
+    return differing
 
 
 def timed_run(workload: str, seed: int, seconds: float, deadline: float, smoke: bool) -> dict:
+    """Repetitions cycle through the run's cases until ``seconds`` are used.
+
+    Every case runs at least once, so a run's inputs depend on ``seed``
+    only, never on how fast the machine was.
+    """
+    cases = SIZES["smoke" if smoke else "full"][workload]["cases"]
+    seeds = [case_seed(seed, case) for case in range(cases)]
     start = time.perf_counter()
     reps: List[dict] = []
     durations: List[float] = []
     while True:
+        case = len(reps) % len(seeds)
         began = time.perf_counter()
-        reps.append(run_repetition(workload, seed, deadline, smoke=smoke, oracle=not reps))
+        rep = run_repetition(workload, seeds[case], deadline, smoke=smoke, oracle=not reps)
         durations.append(time.perf_counter() - began)
+        reps.append(dict(rep, case=case))
         elapsed = time.perf_counter() - start
-        if elapsed + _median(durations) > seconds:
+        if len(reps) >= len(seeds) and elapsed + _median(durations) > seconds:
             break
     setups = [r["setup_s"] for r in reps]
     while len(setups) < SETUP_SAMPLES:
         setups.append(run_repetition(
-            workload, seed, deadline, smoke=smoke, setup_only=True
+            workload, seeds[0], deadline, smoke=smoke, setup_only=True
         )["setup_s"])
-    return {"reps": reps, "setups": setups, "metrics": end_to_end(reps, setups)}
+    return {"reps": reps, "setups": setups, "case_seeds": seeds,
+            "metrics": end_to_end(reps, setups)}
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +287,15 @@ def unattributed_share(spans) -> float:
 
 def traced_run(workload: str, seed: int, deadline: float, report_dir: Path,
                smoke: bool) -> dict:
-    untraced = run_repetition(workload, seed, deadline, smoke=smoke, oracle=True)
+    """One untraced and one traced repetition of the run's first case."""
+    first = case_seed(seed, 0)
+    untraced = dict(run_repetition(workload, first, deadline, smoke=smoke, oracle=True), case=0)
     trace_dir = STATE_ROOT / f"trace-{uuid.uuid4().hex}"
     trace_dir.mkdir(parents=True)
     try:
-        traced = run_repetition(workload, seed, deadline, smoke=smoke, trace_dir=trace_dir)
+        traced = dict(
+            run_repetition(workload, first, deadline, smoke=smoke, trace_dir=trace_dir), case=0
+        )
         spans, counts = [], {}
         for path in sorted(trace_dir.glob("spans-*.jsonl")):
             file_spans, file_counts = read_jsonl(str(path))
@@ -279,6 +311,7 @@ def traced_run(workload: str, seed: int, deadline: float, report_dir: Path,
     write_jsonl(str(journal), f"{workload}-{seed}", spans, counts)
     return {
         "reps": [untraced, traced],
+        "case_seeds": [first],
         "metrics": layer_metrics(spans, counts, traced, untraced),
         "self_time": self_time_table(spans),
         "spans_file": str(journal.relative_to(ROOT)),
@@ -358,7 +391,7 @@ def main(argv=None) -> int:
         "trace": args.trace, "fingerprint": fingerprint, "metrics": metrics,
         "attempted": attempted, "failed": failed, "failures": failures,
         "repetitions": reps,
-        **{k: run[k] for k in ("setups", "self_time", "spans_file") if k in run},
+        **{k: run[k] for k in ("case_seeds", "setups", "self_time", "spans_file") if k in run},
     }
     report_path = Path(args.report) if args.report else (
         REPORT_ROOT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"

@@ -23,7 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import run  # noqa: E402
 import tracing  # noqa: E402
-from workloads import WORKLOADS, derive_seed  # noqa: E402
+from workloads import WORKLOADS, case_seed, derive_seed  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -141,6 +141,27 @@ def test_self_time_subtracts_the_union_of_children():
 def test_seeds_are_derived_and_distinct():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert len({derive_seed(s, p) for s in range(5) for p in ("a", "b")}) == 10
+    assert case_seed(1, 0) == case_seed(1, 0)
+    assert len({case_seed(s, c) for s in range(5) for c in range(4)}) == 20
+
+
+def test_every_case_weighs_the_same_in_a_run():
+    reps = [
+        {"case": 0, "v": 1.0}, {"case": 1, "v": 3.0}, {"case": 0, "v": 1.2},
+        {"case": 0, "v": 9.0},
+    ]
+    # case 0: median 1.2 of three repetitions; case 1: 3.0 of one
+    assert run.per_case(reps, lambda r: r["v"]) == pytest.approx(2.1)
+
+
+def test_outcomes_are_compared_within_a_case():
+    reps = [
+        {"case": 0, "outcome": ["a"]}, {"case": 1, "outcome": ["b"]},
+        {"case": 0, "outcome": ["a"]}, {"case": 1, "outcome": ["b"]},
+    ]
+    assert run.same_outcomes(reps) == []
+    reps.append({"case": 1, "outcome": ["c"]})
+    assert len(run.same_outcomes(reps)) == 1
 
 
 def test_a_checkout_without_the_program_fails_without_a_result(tmp_path):

@@ -32,40 +32,60 @@ WORKLOADS = ("paper_search", "budget_search", "train_search", "served")
 
 #: workload sizes.  "full" is what the benchmark measures; "smoke" shrinks
 #: every workload to seconds for the benchmark's own tests (its numbers are
-#: not comparable with full-size ones).
+#: not comparable with full-size ones).  A run cycles through ``cases``
+#: inputs, each seeded by :func:`case_seed`, so that one lucky or unlucky
+#: seed moves a run's figures by a share of ``1 / cases`` only; each case is
+#: small enough that a 30 s run gets at least one repetition of every case.
 SIZES: Dict[str, Dict[str, dict]] = {
     "full": {
-        # the ROADMAP reference path: paper-scale resnet56, no budget
-        "paper_search": {"budget_hours": 4.0, "methods": None, "embedding": None},
-        # a params ceiling, and a budget any first round exhausts: always
-        # exactly one progressive round, whatever the seed
-        "budget_search": {
-            "budget_hours": 0.1, "max_params": 500_000, "methods": None, "embedding": None,
+        # the ROADMAP reference path (paper-scale resnet56, whole space, no
+        # budget) with one round of Algorithm 1 instead of four and 3 h
+        # instead of 4, so that a case takes seconds; the front is as
+        # settled at 3 h as at 4 h, and the work hardly varies by seed
+        "paper_search": {
+            "cases": 2, "budget_hours": 3.0, "methods": None, "embedding": (1, 3, 30),
         },
-        # real training on a synthetic 16x16, 10-class task
+        # a params ceiling, and a budget any first round exhausts: always
+        # exactly one progressive round, whatever the seed.  Without C2 and
+        # C5, whose cost-model checks are the slowest, the round checks ~1100
+        # candidates in a few seconds and feasibility stays its largest part
+        "budget_search": {
+            "cases": 5, "budget_hours": 0.1, "max_params": 500_000,
+            "methods": ["C1", "C3", "C4", "C6", "C7"], "embedding": (1, 3, 30),
+        },
+        # real training on a synthetic 16x16, 10-class task (base accuracy
+        # 0.74-0.95).  One evaluation per round makes a search twenty short
+        # rounds rather than one round whose size depends on the seed; C3
+        # alone keeps knowledge minor and each evaluation cheap.  How much a
+        # search trains and how far its front reaches still vary by seed
+        # (coefficient of variation ~0.15 each), hence four cases
         "train_search": {
-            "samples": 800, "image_size": 16, "noise": 1.0, "pretrain_epochs": 8.0,
-            "budget_hours": 0.7, "methods": ["C2", "C3"], "gamma": 0.2,
+            "cases": 4, "samples": 600, "image_size": 16, "noise": 0.6,
+            "pretrain_epochs": 4.0, "budget_hours": 2.0, "evals_per_round": 1,
+            "methods": ["C3"], "gamma": 0.2,
         },
         # two closed-loop tenants on a surrogate resnet20 task
         "served": {
-            "methods": ["C3", "C4"], "gamma": 0.2, "max_length": 4, "budget_hours": 4.0,
-            "max_params": 150_000,
+            "cases": 3, "methods": ["C3", "C4"], "gamma": 0.2, "max_length": 4,
+            "budget_hours": 2.0, "max_params": 150_000,
         },
     },
     "smoke": {
-        "paper_search": {"budget_hours": 0.3, "methods": ["C1", "C3"], "embedding": (1, 1, 2)},
+        "paper_search": {
+            "cases": 1, "budget_hours": 0.3, "methods": ["C1", "C3"], "embedding": (1, 1, 2),
+        },
         "budget_search": {
-            "budget_hours": 0.3, "max_params": 500_000, "methods": ["C1", "C3"],
+            "cases": 1, "budget_hours": 0.3, "max_params": 500_000, "methods": ["C1", "C3"],
             "embedding": (1, 1, 2),
         },
         "train_search": {
-            "samples": 120, "image_size": 16, "noise": 1.0, "pretrain_epochs": 1.0,
-            "budget_hours": 0.3, "methods": ["C2", "C3"], "gamma": 0.2,
+            "cases": 1, "samples": 120, "image_size": 16, "noise": 1.0,
+            "pretrain_epochs": 1.0, "budget_hours": 0.3, "evals_per_round": 6,
+            "methods": ["C2", "C3"], "gamma": 0.2,
         },
         "served": {
-            "methods": ["C3", "C4"], "gamma": 0.2, "max_length": 4, "budget_hours": 0.3,
-            "max_params": 150_000,
+            "cases": 1, "methods": ["C3", "C4"], "gamma": 0.2, "max_length": 4,
+            "budget_hours": 0.3, "max_params": 150_000,
         },
     },
 }
@@ -81,6 +101,11 @@ def derive_seed(seed: int, purpose: str) -> int:
     """A stable 31-bit seed for one purpose, derived from the workload seed."""
     digest = hashlib.sha256(f"perfbench:{seed}:{purpose}".encode()).digest()
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
+
+
+def case_seed(seed: int, case: int) -> int:
+    """The seed of a run's ``case``-th input, derived from the run's seed."""
+    return derive_seed(seed, f"case.{case}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +195,7 @@ def train_datasets(seed: int, size: dict):
 
 def setup_train_search(seed: int, size: dict):
     from repro import AutoMC
+    from repro.core.progressive import ProgressiveConfig
     from repro.knowledge.embedding import EmbeddingConfig
     from repro.space.strategy import StrategySpace
 
@@ -184,6 +210,7 @@ def setup_train_search(seed: int, size: dict):
             rounds=1, transr_epochs_per_round=2, nn_exp_epochs_per_round=10,
             seed=search_seed,
         ),
+        progressive_config=ProgressiveConfig(evals_per_round=size["evals_per_round"]),
     )
     automc.evaluator.base_accuracy  # pretraining is part of set-up
     return automc
