@@ -1,29 +1,46 @@
 """Pareto-front utilities for the bi-objective (AR, PR) optimisation.
 
-Conventions: points are (n, m) arrays where every objective is to be
-*maximised* (callers negate minimisation objectives).
+Conventions: points are (n, 2) arrays where both objectives are to be
+*maximised* (callers negate minimisation objectives);
+:func:`crowding_distance` also takes any number of objectives.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 
 def pareto_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of non-dominated rows (all objectives maximised)."""
+    """Boolean mask of non-dominated rows of ``(n, 2)`` points (maximised).
+
+    A row is dominated when another is >= in both objectives and > in one,
+    so equal rows all survive.  Rows holding a NaN are never dominated and
+    dominate nothing.  A sort-based sweep, O(n log n): with rows ordered by
+    (x desc, y desc), a row is dominated iff some row of strictly larger x
+    has y >= its y, or the first (highest-y) row of its equal-x group has a
+    larger y.
+    """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dominated_by_i = np.all(points <= points[i], axis=1) & np.any(
-            points < points[i], axis=1
-        )
-        mask &= ~dominated_by_i
-        mask[i] = True
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("pareto_mask expects (n, 2) points")
+    mask = np.ones(len(points), dtype=bool)
+    rows = np.flatnonzero(~np.isnan(points).any(axis=1))
+    if len(rows) < 2:
+        return mask
+    x, y = points[rows, 0], points[rows, 1]
+    order = np.lexsort((-y, -x))
+    x, y = x[order], y[order]
+    new_group = np.empty(len(x), dtype=bool)
+    new_group[0] = True
+    np.not_equal(x[1:], x[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    group_start = starts[np.cumsum(new_group) - 1]
+    # max y over every row before the group, i.e. of strictly larger x
+    best_before = np.maximum.accumulate(y)[np.maximum(group_start - 1, 0)]
+    dominated = ((group_start > 0) & (best_before >= y)) | (y[group_start] > y)
+    mask[rows[order[dominated]]] = False
     return mask
 
 
@@ -33,29 +50,18 @@ def pareto_indices(points: np.ndarray) -> np.ndarray:
 
 
 def nondominated_sort(points: np.ndarray) -> List[np.ndarray]:
-    """NSGA-II fast non-dominated sorting into fronts (best first)."""
+    """NSGA-II non-dominated sorting into fronts (best first).
+
+    Fronts are peeled off with :func:`pareto_mask`; each holds ascending
+    row indices.
+    """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    dominated_count = np.zeros(n, dtype=np.int64)
-    dominates: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        better_eq = np.all(points >= points[i], axis=1)
-        strictly = np.any(points > points[i], axis=1)
-        dominators = np.flatnonzero(better_eq & strictly)
-        dominated_count[i] = len(dominators)
-        for j in dominators:
-            dominates[j].append(i)
+    remaining = np.arange(len(points))
     fronts: List[np.ndarray] = []
-    current = np.flatnonzero(dominated_count == 0)
-    while len(current):
-        fronts.append(current)
-        next_front = []
-        for i in current:
-            for j in dominates[i]:
-                dominated_count[j] -= 1
-                if dominated_count[j] == 0:
-                    next_front.append(j)
-        current = np.asarray(sorted(set(next_front)), dtype=np.int64)
+    while len(remaining):
+        on_front = pareto_mask(points[remaining])
+        fronts.append(remaining[on_front])
+        remaining = remaining[~on_front]
     return fronts
 
 
@@ -101,9 +107,15 @@ def hypervolume_2d(points: np.ndarray, reference: Sequence[float]) -> float:
     return float(volume)
 
 
-def select_diverse(points: np.ndarray, k: int) -> np.ndarray:
-    """Pick up to ``k`` indices from the Pareto front, preferring spread."""
-    front = pareto_indices(points)
+def select_diverse(
+    points: np.ndarray, k: int, front: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Pick up to ``k`` indices from the Pareto front, preferring spread.
+
+    ``front`` is ``pareto_indices(points)`` when the caller already has it.
+    """
+    if front is None:
+        front = pareto_indices(points)
     if len(front) <= k:
         return front
     distance = crowding_distance(points[front])

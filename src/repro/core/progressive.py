@@ -24,7 +24,7 @@ implementation, so seeded results are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,16 @@ class ProgressiveConfig:
     # Design-choice toggles (exercised by benchmarks/test_design_ablations.py):
     stratified_sampling: bool = True   # PR-stratified H_sub sampling
     feasible_bias: bool = True         # half the evals target PR in [γ, 0.8]
+
+
+class _Options(NamedTuple):
+    """A round's scored (seq, s) options as parallel arrays."""
+
+    parents: List[EvaluationResult]  # H_sub
+    parent_index: np.ndarray  # option -> position in ``parents``
+    candidate: np.ndarray     # option -> strategy index s
+    acc: np.ndarray           # Eq. 4 projected ACC
+    par: np.ndarray           # Eq. 4 projected PAR
 
 
 @register_solver("progressive", label="AutoMC")
@@ -140,13 +150,14 @@ class ProgressiveSolver(Solver):
         )
 
     # ------------------------------------------------------------------ #
-    def _score_round(
-        self, h_sub: List[EvaluationResult], round_index: int
-    ) -> List[Tuple[EvaluationResult, int, float, float]]:
-        """All (seq, s) options with Eq. 4 projections (ACC, -PAR)."""
-        options: List[Tuple[EvaluationResult, int, float, float]] = []
+    def _score_round(self, h_sub: List[EvaluationResult], round_index: int) -> _Options:
+        """All (seq, s) options with Eq. 4 projections (ACC, PAR)."""
+        parent_of: List[np.ndarray] = []
+        kept: List[np.ndarray] = []
+        accs: List[np.ndarray] = []
+        pars: List[np.ndarray] = []
         noise_scale = self.config.exploration_noise / np.sqrt(1 + round_index)
-        for result in h_sub:
+        for position, result in enumerate(h_sub):
             mask = self._unexplored[result.scheme.identifier]
             candidates = np.flatnonzero(mask)
             if len(candidates) == 0:
@@ -157,8 +168,7 @@ class ProgressiveSolver(Solver):
                 )
             # Budget filter: drop candidates whose nominal PR would explode.
             nominal = result.scheme.total_param_step
-            steps = np.array([self.space[int(i)].param_step for i in candidates])
-            keep = nominal + steps <= self.config.max_nominal_pr
+            keep = nominal + self.space.param_steps[candidates] <= self.config.max_nominal_pr
             candidates = candidates[keep]
             if len(candidates) == 0:
                 continue
@@ -182,15 +192,17 @@ class ProgressiveSolver(Solver):
             predictions = predictions + self.rng.normal(
                 0, noise_scale, size=predictions.shape
             )
-            acc_proj = result.accuracy * (1.0 + predictions[:, 0])  # Eq. 4 ACC
-            par_proj = result.params * (1.0 - predictions[:, 1])    # Eq. 4 PAR
-            for cand, acc, par in zip(candidates, acc_proj, par_proj):
-                options.append((result, int(cand), float(acc), float(par)))
-        return options
+            parent_of.append(np.full(len(candidates), position))
+            kept.append(candidates)
+            accs.append(result.accuracy * (1.0 + predictions[:, 0]))  # Eq. 4 ACC
+            pars.append(result.params * (1.0 - predictions[:, 1]))    # Eq. 4 PAR
+        if not kept:
+            no_index = np.zeros(0, dtype=np.int64)
+            return _Options(h_sub, no_index, no_index, np.zeros(0), np.zeros(0))
+        return _Options(h_sub, np.concatenate(parent_of), np.concatenate(kept),
+                        np.concatenate(accs), np.concatenate(pars))
 
-    def _select_pareto_options(
-        self, options: List[Tuple[EvaluationResult, int, float, float]]
-    ) -> List[Tuple[EvaluationResult, int]]:
+    def _select_pareto_options(self, options: _Options) -> List[Tuple[EvaluationResult, int]]:
         """ParetoO = argmax [ACC, -PAR], capped and diversity-selected.
 
         With ``feasible_bias`` on, half of the evaluation slots go to the
@@ -199,32 +211,36 @@ class ProgressiveSolver(Solver):
         PR >= γ, so that region is where evaluations buy the most; the rest
         is spread over the whole front by crowding distance (exploration).
         """
-        if not options:
+        if not len(options.acc):
             return []
-        points = np.array([[acc, -par] for (_, _, acc, par) in options])
+        points = np.stack([options.acc, -options.par], axis=1)
         front = pareto_indices(points)
         budget = self.config.evals_per_round
 
         base_params = max(
             next(iter(self._results_by_id.values())).base_params, 1
         )
-        pr_projected = np.array([1.0 - par / base_params for (_, _, _, par) in options])
         chosen: List[int] = []
         if self.config.feasible_bias:
-            feasible_front = [
-                int(i) for i in front if self.gamma <= pr_projected[i] <= 0.8
+            pr_projected = 1.0 - options.par[front] / base_params
+            feasible_front = front[(self.gamma <= pr_projected) & (pr_projected <= 0.8)]
+            # by projected ACC; a stable sort keeps ties in front order
+            feasible_front = feasible_front[
+                np.argsort(-points[feasible_front, 0], kind="stable")
             ]
-            feasible_front.sort(key=lambda i: -points[i, 0])  # by projected ACC
-            chosen = feasible_front[: max(budget // 2, 1)]
+            chosen = feasible_front[: max(budget // 2, 1)].tolist()
 
         remaining = budget - len(chosen)
         if remaining > 0:
-            spread = select_diverse(points, budget)
+            spread = select_diverse(points, budget, front=front)
             for i in spread:
                 if int(i) not in chosen and remaining > 0:
                     chosen.append(int(i))
                     remaining -= 1
-        return [(options[i][0], options[i][1]) for i in chosen]
+        return [
+            (options.parents[options.parent_index[i]], int(options.candidate[i]))
+            for i in chosen
+        ]
 
     # ------------------------------------------------------------------ #
     def setup(self) -> None:
@@ -239,7 +255,7 @@ class ProgressiveSolver(Solver):
         options = self._score_round(h_sub, self._round_index)
         selected = self._select_pareto_options(options)
         self._round_attrs = {
-            "parents": len(h_sub), "options": len(options), "selected": len(selected)
+            "parents": len(h_sub), "options": len(options.acc), "selected": len(selected)
         }
         self._selected = selected
         return [parent.scheme.extend(self.space[c]) for parent, c in selected]

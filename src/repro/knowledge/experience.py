@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..data.tasks import CompressionTask
-from ..space.hyperparams import HP_GRID
 from ..space.strategy import CompressionStrategy, StrategySpace
 
 # ---------------------------------------------------------------------------
@@ -176,25 +175,7 @@ def nearest_strategy(space: StrategySpace, record: ExperienceRecord) -> Optional
     """The strategy in ``space`` closest to a record's reported setting.
 
     Matching is by method, then by minimal normalised distance over the
-    hyperparameters the record specifies (categoricals count 0/1).
+    hyperparameters the record specifies (categoricals count 0/1); see
+    :meth:`StrategySpace.nearest`, which memoises the match per space.
     """
-    candidates = space.of_method(record.method_label)
-    if not candidates:
-        return None
-    recorded = dict(record.hp)
-
-    def distance(strategy: CompressionStrategy) -> float:
-        total = 0.0
-        hp = strategy.hp
-        for name, value in recorded.items():
-            if name not in hp:
-                continue
-            if isinstance(value, str):
-                total += 0.0 if hp[name] == value else 1.0
-            else:
-                grid = [v for v in HP_GRID[name] if not isinstance(v, str)]
-                span = (max(grid) - min(grid)) or 1.0
-                total += abs(float(hp[name]) - float(value)) / span
-        return total
-
-    return min(candidates, key=distance)
+    return space.nearest(record.method_label, record.hp)

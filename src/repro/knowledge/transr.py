@@ -48,12 +48,15 @@ class TransR:
         rnorms = np.linalg.norm(self.relations, axis=1, keepdims=True)
         np.divide(self.relations, np.maximum(rnorms, 1.0), out=self.relations)
 
-    def score(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """||W_r e_h + e_r - W_r e_t||^2 for each triplet (lower = better)."""
-        w = self.projections[rels]  # (n, k, d)
+    def _residuals(self, w: np.ndarray, heads, rels, tails) -> np.ndarray:
+        """W_r e_h + e_r - W_r e_t per triplet, given ``w = projections[rels]``."""
         h = np.einsum("nkd,nd->nk", w, self.entities[heads])
         t = np.einsum("nkd,nd->nk", w, self.entities[tails])
-        diff = h + self.relations[rels] - t
+        return h + self.relations[rels] - t
+
+    def score(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """||W_r e_h + e_r - W_r e_t||^2 for each triplet (lower = better)."""
+        diff = self._residuals(self.projections[rels], heads, rels, tails)
         return (diff ** 2).sum(axis=1)
 
     # ------------------------------------------------------------------ #
@@ -73,52 +76,66 @@ class TransR:
             neg_heads = np.where(corrupt_head, random_entities, heads)
             neg_tails = np.where(corrupt_head, tails, random_entities)
 
-            pos = self.score(heads, rels, tails)
-            neg = self.score(neg_heads, rels, neg_tails)
-            violation = cfg.margin + pos - neg
+            w = self.projections[rels]  # (n, k, d), shared by both scores
+            pos_u = self._residuals(w, heads, rels, tails)
+            neg_u = self._residuals(w, neg_heads, rels, neg_tails)
+            violation = cfg.margin + (pos_u ** 2).sum(axis=1) - (neg_u ** 2).sum(axis=1)
             active = violation > 0
             total_loss += float(violation[active].sum())
             if not active.any():
                 continue
             self._sgd_step(
-                heads[active], rels[active], tails[active],
-                neg_heads[active], neg_tails[active],
+                w[active], rels[active],
+                heads[active], tails[active], pos_u[active],
+                neg_heads[active], neg_tails[active], neg_u[active],
             )
         self._normalize()
         self.loss_history.append(total_loss / max(len(triplets), 1))
         return self.loss_history[-1]
 
-    def _sgd_step(self, heads, rels, tails, neg_heads, neg_tails) -> None:
+    def _sgd_step(self, w, rels, heads, tails, pos_u, neg_heads, neg_tails, neg_u) -> None:
         """Apply gradients of (pos_score - neg_score) for violating triplets.
 
-        Many triplets in a batch touch the *same* relation (there are only
-        five), so raw accumulation explodes; gradients are averaged per
-        parameter (entity / relation / projection) before the update.
+        ``w`` and the residuals ``pos_u``/``neg_u`` are the ones scoring
+        computed.  Many triplets in a batch touch the *same* relation (there
+        are only five), so raw accumulation explodes; gradients are averaged
+        per parameter (entity / relation / projection) before the update.
+
+        Every accumulator is a sequential sum from +0.0 in triplet order,
+        positive triplets before negative ones, as one ``np.add.at`` per
+        parameter would sum; relation and projection rows are grouped per
+        relation by a stable sort and summed with ``np.add.reduce``.
         """
         lr = self.config.learning_rate
-        ent_grad = np.zeros_like(self.entities)
-        ent_count = np.zeros(len(self.entities))
-        rel_grad = np.zeros_like(self.relations)
-        rel_count = np.zeros(len(self.relations))
-        proj_grad = np.zeros_like(self.projections)
+        n_relations = len(self.relations)
 
-        for sign, h_idx, t_idx in ((1.0, heads, tails), (-1.0, neg_heads, neg_tails)):
-            w = self.projections[rels]  # (n, k, d)
-            eh = self.entities[h_idx]
-            et = self.entities[t_idx]
-            u = np.einsum("nkd,nd->nk", w, eh) + self.relations[rels] - np.einsum(
-                "nkd,nd->nk", w, et
-            )  # (n, k)
-            grad_h = 2.0 * np.einsum("nkd,nk->nd", w, u)
-            grad_r = 2.0 * u
-            grad_w = 2.0 * np.einsum("nk,nd->nkd", u, eh - et)
-            np.add.at(ent_grad, h_idx, sign * grad_h)
-            np.add.at(ent_grad, t_idx, -sign * grad_h)
-            np.add.at(ent_count, h_idx, 1.0)
-            np.add.at(ent_count, t_idx, 1.0)
-            np.add.at(rel_grad, rels, sign * grad_r)
-            np.add.at(rel_count, rels, 1.0)
-            np.add.at(proj_grad, rels, sign * grad_w)
+        grad_h = 2.0 * np.einsum("nkd,nk->nd", w, pos_u)
+        neg_grad_h = 2.0 * np.einsum("nkd,nk->nd", w, neg_u)
+        ent_idx = np.concatenate([heads, tails, neg_heads, neg_tails])
+        ent_grad = np.zeros_like(self.entities)
+        np.add.at(ent_grad, ent_idx, np.concatenate([grad_h, -grad_h, -neg_grad_h, neg_grad_h]))
+        ent_count = np.bincount(ent_idx, minlength=len(self.entities)).astype(np.float64)
+
+        # Signed residuals and entity differences, positives then negatives;
+        # flipping u's sign flips each gradient row exactly (up to the sign
+        # of a zero, which a sum from +0.0 ignores).
+        rows_rel = np.concatenate([rels, rels])
+        order = np.argsort(rows_rel, kind="stable")
+        u = np.concatenate([pos_u, -neg_u])[order]
+        diff = np.concatenate(
+            [self.entities[heads] - self.entities[tails],
+             self.entities[neg_heads] - self.entities[neg_tails]]
+        )[order]
+        grad_r = 2.0 * u
+        grad_w = 2.0 * np.einsum("nk,nd->nkd", u, diff)
+        rel_count = np.bincount(rows_rel, minlength=n_relations).astype(np.float64)
+        bounds = np.concatenate([[0], np.cumsum(rel_count, dtype=np.int64)])
+        rel_grad = np.zeros_like(self.relations)
+        proj_grad = np.zeros_like(self.projections)
+        for r in np.flatnonzero(rel_count):
+            rows = slice(bounds[r], bounds[r + 1])
+            rel_grad[r] = np.add.reduce(grad_r[rows], axis=0, initial=0.0)
+            proj_grad[r] = np.add.reduce(grad_w[rows], axis=0, initial=0.0)
 
         ent_scale = np.maximum(ent_count, 1.0)[:, None]
         rel_scale = np.maximum(rel_count, 1.0)

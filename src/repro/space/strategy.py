@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compression import EXTENSION_METHODS, METHODS, CompressionMethod
 from .hyperparams import HP_GRID, METHOD_HPS
 
@@ -94,6 +96,12 @@ class StrategySpace:
                 )
                 self._strategies.append(strategy)
                 self._by_id[strategy.identifier] = strategy
+        #: HP2 of every strategy, in index order
+        self.param_steps = np.array([s.param_step for s in self._strategies])
+        self.param_steps.flags.writeable = False
+        # lazily built per-method HP columns and memoised nearest() answers
+        self._hp_columns: Dict[str, Tuple[List[CompressionStrategy], Dict[str, np.ndarray]]] = {}
+        self._nearest: Dict[Tuple[str, tuple], Optional[CompressionStrategy]] = {}
 
     def __len__(self) -> int:
         return len(self._strategies)
@@ -109,6 +117,50 @@ class StrategySpace:
 
     def of_method(self, label: str) -> List[CompressionStrategy]:
         return [s for s in self._strategies if s.method_label == label]
+
+    def nearest(
+        self, method_label: str, hp_items: Sequence[Tuple[str, object]]
+    ) -> Optional[CompressionStrategy]:
+        """The strategy of ``method_label`` closest to a partial HP setting.
+
+        The distance sums, over the given hyperparameters the method has and
+        in the given order, 0/1 for a categorical mismatch and ``|Δ| / span``
+        of the numeric grid otherwise; ties go to the first strategy in
+        space order.  ``None`` when the space lacks the method.  Answers are
+        memoised per query.
+        """
+        key = (method_label, tuple(hp_items))
+        if key not in self._nearest:
+            self._nearest[key] = self._find_nearest(method_label, key[1])
+        return self._nearest[key]
+
+    def _find_nearest(self, method_label: str, hp_items) -> Optional[CompressionStrategy]:
+        if method_label not in self._hp_columns:
+            members = self.of_method(method_label)
+            columns = {}
+            if members:
+                for position, (name, _) in enumerate(members[0].hp_items):
+                    values = [s.hp_items[position][1] for s in members]
+                    numeric = not any(isinstance(v, str) for v in HP_GRID[name])
+                    columns[name] = np.array(values, dtype=np.float64 if numeric else object)
+            self._hp_columns[method_label] = (members, columns)
+        members, columns = self._hp_columns[method_label]
+        if not members:
+            return None
+        # accumulated column by column, in the query's order, so each total
+        # is the same float sum a per-strategy loop would compute
+        total = np.zeros(len(members))
+        for name, value in hp_items:
+            column = columns.get(name)
+            if column is None:
+                continue
+            if isinstance(value, str):
+                total += column != value
+            else:
+                grid = [v for v in HP_GRID[name] if not isinstance(v, str)]
+                span = (max(grid) - min(grid)) or 1.0
+                total += np.abs(column - float(value)) / span
+        return members[int(np.argmin(total))]
 
     def restrict(self, method_labels: Sequence[str]) -> "StrategySpace":
         """A smaller space over the given methods (AutoMC-MultipleSource)."""
