@@ -3,14 +3,14 @@
 A :class:`SchemeCostModel` evaluates a
 :class:`~repro.space.scheme.CompressionScheme` *symbolically*: starting from
 the :func:`~repro.analysis.graph.trace_model` graph of the base model, each
-strategy is applied as an *effect signature* — a transformation of abstract
-channel counts, factorisation ranks, and weight dtypes that mirrors the
+strategy is applied as an *effect* — a transformation of abstract channel
+counts, factorisation ranks, and weight dtypes that mirrors the
 arithmetic of the real surgery in :mod:`repro.compression` without touching a
 single weight.  The result is a :class:`CostPrediction` of post-scheme
 parameters, FLOPs, peak activation memory, and a latency proxy, obtained in
 microseconds instead of the seconds-to-minutes a real surgery+profile costs.
 
-Effect signatures per method (the concrete algorithms they abstract):
+Effects per method (the concrete algorithms they abstract):
 
 ====== ===============================================================
 method effect on the abstract model
@@ -34,6 +34,10 @@ C8     parameters/FLOPs unchanged; effective weight width becomes 8
        (``HP19="int8"``) or 16 (``HP19="fp16"``) bits, matching the
        executed precision of :func:`repro.nn.quant.quantize_module`.
 ====== ===============================================================
+
+A strategy's *effect signature* is its method label plus the values of the
+HPs its effect reads (:data:`EFFECT_HPS`); :class:`SchemeCostModel` caches
+states and predictions by the signatures along a scheme.
 
 Channel scores are weight-dependent, but their *order statistics* at init are
 not: the abstraction models each criterion's removal order (proportional
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..compression.hooi import choose_tucker_ranks, tucker2_params
 from ..space.scheme import CompressionScheme
@@ -806,7 +810,7 @@ def _abstract_legr(
     return start - model.params()
 
 
-def _prune_mode(label: str, hp: Mapping[str, object]) -> str:
+def _prune_mode(label: str, p2_l1norm: bool = False) -> str:
     """Static abstraction of the removal *order* a method's scores induce.
 
     Derived from the init-time score statistics of ``repro.nn`` (Kaiming
@@ -817,9 +821,10 @@ def _prune_mode(label: str, hp: Mapping[str, object]) -> str:
       greedy drains units in definition order to their floors;
     - C4 scores filter l2 norms whose order statistics under Kaiming init
       put small-fan-in units in the global low tail (``l2_norm`` model);
-    - C5's raw ``P2``+``l1norm`` aggregation has means growing with fan-in
-      (``l1_norm`` model); the z-scored/rank-normalised aggregations and the
-      scale-free moment criteria interleave uniformly (``proportional``);
+    - C5's raw ``P2``+``l1norm`` aggregation (``p2_l1norm``) has means
+      growing with fan-in (``l1_norm`` model); the z-scored/rank-normalised
+      aggregations and the scale-free moment criteria interleave uniformly
+      (``proportional``);
     - C2 runs the LeGR evolution itself on the abstract scores (see
       :func:`_abstract_legr`) and is dispatched before this lookup.
     """
@@ -827,63 +832,96 @@ def _prune_mode(label: str, hp: Mapping[str, object]) -> str:
         return "drain"
     if label == "C4":
         return "l2_norm"
-    if label == "C5" and hp.get("HP11") == "P2" and hp.get("HP12") == "l1norm":
+    if label == "C5" and p2_l1norm:
         return "l1_norm"
     return "proportional"
 
 
-def apply_strategy(model: AbstractModel, strategy, base_params: int) -> None:
-    """Apply one strategy's effect signature to ``model`` in place.
+#: the HPs each method's effect reads, as ``(name, default, conversion)`` in
+#: signature order; every other HP leaves the abstract model unchanged
+EFFECT_HPS: Dict[str, Tuple[Tuple[str, Any, Callable[[Any], Any]], ...]] = {
+    "C1": (("HP2", 0.0, float),),
+    "C2": (("HP2", 0.0, float), ("HP6", 0.9, float), ("HP7", 0.5, float),
+           ("HP8", "l2_weight", str)),
+    "C3": (("HP2", 0.0, float), ("HP6", 0.9, float)),
+    "C4": (("HP2", 0.0, float),),
+    "C5": (("HP2", 0.0, float), ("HP11", "", str), ("HP12", "", str)),
+    "C6": (("HP2", 0.0, float),),
+    "C7": (("HP17", DEFAULT_WEIGHT_BITS, int),),
+    "C8": (("HP19", "int8", str),),
+}
+
+#: ``(method_label, *values of the HPs in EFFECT_HPS[method_label])``
+EffectSignature = Tuple[Any, ...]
+
+
+def effect_signature(strategy) -> EffectSignature:
+    """The part of ``strategy`` its effect on the abstract model depends on.
+
+    Strategies with equal signatures transform every abstract model the same
+    way, so cached states and predictions are keyed by signatures.
+    """
+    label = strategy.method_label
+    reads = EFFECT_HPS.get(label)
+    if reads is None:
+        raise ValueError(f"no effect signature for method {label!r}")
+    hp = strategy.hp
+    return (label,) + tuple(convert(hp.get(name, default)) for name, default, convert in reads)
+
+
+def apply_effect(model: AbstractModel, signature: EffectSignature, base_params: int) -> None:
+    """Apply one strategy's effect, given by its signature, to ``model`` in place.
 
     ``base_params`` is P(M) of the *original* model — HP2 budgets are always
     relative to it, exactly like ``ExecutionContext.param_budget``.
     """
-    label = strategy.method_label
-    hp = strategy.hp
-    budget = int(round(float(hp.get("HP2", 0.0)) * base_params))
-    mode = _prune_mode(label, hp)
+    label = signature[0]
+    if label == "C7":
+        model.weight_bits = signature[1]
+        return
+    if label == "C8":
+        # Real PTQ: executed precision is exactly the mode's storage width.
+        model.weight_bits = 8 if signature[1] == "int8" else 16
+        return
+    budget = int(round(signature[1] * base_params))
     if label == "C1":
         _abstract_uniform_scale(model, budget)
     elif label == "C2":
-        generations = int(
-            round(float(hp.get("HP7", 0.5)) * _LEGR_PRETRAIN_EPOCHS)
-        )
+        _, _, max_ratio, hp7, criterion = signature
+        generations = int(round(hp7 * _LEGR_PRETRAIN_EPOCHS))
         _abstract_legr(
-            model,
-            budget,
-            max_ratio=float(hp.get("HP6", 0.9)),
-            criterion=str(hp.get("HP8", "l2_weight")),
-            generations=generations,
+            model, budget, max_ratio=max_ratio, criterion=criterion, generations=generations
         )
     elif label == "C3":
-        _abstract_prune(model, budget, max_ratio=float(hp.get("HP6", 0.9)), mode=mode)
+        _abstract_prune(model, budget, max_ratio=signature[2], mode=_prune_mode(label))
     elif label == "C4":
-        _abstract_prune(model, budget, max_ratio=0.9, mode=mode)
+        _abstract_prune(model, budget, max_ratio=0.9, mode=_prune_mode(label))
     elif label == "C5":
-        removed = _abstract_prune(
-            model, int(round(budget * 0.5)), max_ratio=0.9, mode=mode
-        )
+        mode = _prune_mode(label, signature[2] == "P2" and signature[3] == "l1norm")
+        removed = _abstract_prune(model, int(round(budget * 0.5)), max_ratio=0.9, mode=mode)
         _abstract_tucker_factorize(model, budget - removed)
-    elif label == "C6":
+    else:  # C6
         _abstract_basis_factorize(model, budget)
-    elif label == "C7":
-        model.weight_bits = int(hp.get("HP17", DEFAULT_WEIGHT_BITS))
-    elif label == "C8":
-        # Real PTQ: executed precision is exactly the mode's storage width.
-        model.weight_bits = 8 if str(hp.get("HP19", "int8")) == "int8" else 16
-    else:
-        raise ValueError(f"no effect signature for method {label!r}")
 
 
 # --------------------------------------------------------------------------- #
 # The scheme-level cost model
 # --------------------------------------------------------------------------- #
+#: entries each of a cost model's state and prediction caches holds before
+#: the longest keys are evicted
+CACHE_SIZE = 4096
+
+#: the effect signatures along a scheme; ``()`` is the unmodified base
+SchemeKey = Tuple[EffectSignature, ...]
+
+
 class SchemeCostModel:
     """Predict post-scheme cost profiles by abstract interpretation.
 
-    Prefix states are cached by scheme identifier, so scoring thousands of
-    one-step extensions of the same parent (the progressive-search hot path)
-    costs one strategy application each.
+    Abstract states and predictions are cached by the scheme's effect
+    signatures, so the thousands of one-step extensions of one parent that
+    progressive search scores cost one strategy application per distinct
+    effect, not per strategy.
     """
 
     def __init__(
@@ -891,47 +929,58 @@ class SchemeCostModel:
         model=None,
         input_shape: Tuple[int, int, int] = (3, 32, 32),
         base: Optional[AbstractModel] = None,
-        cache_size: int = 4096,
     ):
         if base is None:
             if model is None:
                 raise ValueError("SchemeCostModel needs a model or an AbstractModel")
             base = AbstractModel.from_model(model, input_shape=input_shape)
-        self._base = base
         self.base_params = base.params()
         self.base_prediction = base.predict()
-        self._cache_size = max(cache_size, 2)
-        self._states: Dict[str, AbstractModel] = {"START": base}
+        self._states: Dict[SchemeKey, AbstractModel] = {(): base}
+        self._predictions: Dict[SchemeKey, CostPrediction] = {(): self.base_prediction}
+
+    @staticmethod
+    def _key(scheme: CompressionScheme) -> SchemeKey:
+        return tuple(effect_signature(strategy) for strategy in scheme.strategies)
+
+    def _state(self, key: SchemeKey) -> AbstractModel:
+        cached = self._states.get(key)
+        if cached is not None:
+            return cached
+        state = self._state(key[:-1]).clone()
+        apply_effect(state, key[-1], self.base_params)
+        _store(self._states, key, state)
+        return state
 
     def state(self, scheme: CompressionScheme) -> AbstractModel:
         """The abstract model after ``scheme`` (cached; do not mutate)."""
-        identifier = scheme.identifier
-        cached = self._states.get(identifier)
-        if cached is not None:
-            return cached
-        parent = self.state(scheme.prefix(scheme.length - 1))
-        state = parent.clone()
-        apply_strategy(state, scheme.strategies[-1], self.base_params)
-        if len(self._states) >= self._cache_size:
-            self._evict()
-        self._states[identifier] = state
-        return state
-
-    def _evict(self) -> None:
-        # Drop the longest cached schemes first: short prefixes are the
-        # shared ancestors whose reuse pays for the cache.
-        victims = sorted(self._states, key=lambda k: -k.count("->"))
-        for key in victims[: self._cache_size // 2]:
-            if key != "START":
-                del self._states[key]
+        return self._state(self._key(scheme))
 
     def predict(self, scheme: CompressionScheme) -> CostPrediction:
-        return self.state(scheme).predict()
+        key = self._key(scheme)
+        prediction = self._predictions.get(key)
+        if prediction is None:
+            prediction = self._state(key).predict()
+            _store(self._predictions, key, prediction)
+        return prediction
 
     def feasible(self, scheme: CompressionScheme, budget: Optional[Budget]) -> bool:
         if budget is None or budget.is_null:
             return True
         return budget.feasible(self.predict(scheme))
+
+
+_Cached = TypeVar("_Cached")
+
+
+def _store(cache: Dict[SchemeKey, _Cached], key: SchemeKey, value: _Cached) -> None:
+    if len(cache) >= CACHE_SIZE:
+        # Drop the longest keys first: short prefixes are the shared
+        # ancestors whose reuse pays for the cache.
+        for victim in sorted(cache, key=len, reverse=True)[: CACHE_SIZE // 2]:
+            if victim:
+                del cache[victim]
+    cache[key] = value
 
 
 def check_budget(

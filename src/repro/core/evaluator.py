@@ -351,18 +351,21 @@ class SchemeEvaluator:
     def cost_model(self) -> Optional[SchemeCostModel]:
         """Lazy :class:`SchemeCostModel` over the backend's base model.
 
-        ``None`` when the base model cannot be traced (custom test modules);
-        budget checks then degrade to no-ops rather than failing evaluation.
+        ``None`` when the base model declares no pruning units (custom
+        modules outside the zoo); budget checks then degrade to no-ops.  Any
+        other construction failure propagates, so a tracer regression cannot
+        silently unbudget a search.
         """
         if not self._cost_model_ready:
-            self._cost_model_ready = True
             base_model = getattr(self, "_base_model", None)
             input_shape = getattr(self, "_input_shape", (3, 32, 32))
             if base_model is not None:
                 try:
                     self._cost_model = SchemeCostModel(base_model, input_shape)
-                except Exception:
-                    self._cost_model = None
+                except AttributeError as exc:
+                    if exc.name != "pruning_units":
+                        raise
+            self._cost_model_ready = True
         return self._cost_model
 
     def set_budget(self, budget: Optional[Budget]) -> None:

@@ -5,6 +5,10 @@ selection) was rewritten for speed under a bit-identity contract: same float
 summation order, same tie-breaking.  These are the straightforward versions
 it replaced; the oracle tests require the production code to agree with them
 exactly (``np.array_equal``, identical indices, identical objects).
+
+The static cost model's caches are keyed by effect signature; its oracle
+applies every strategy from its full HP mapping to a fresh copy of the base
+model, with no cache at all.
 """
 
 from __future__ import annotations
@@ -13,9 +17,21 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.costmodel import (
+    _LEGR_PRETRAIN_EPOCHS,
+    DEFAULT_WEIGHT_BITS,
+    AbstractModel,
+    CostPrediction,
+    _abstract_basis_factorize,
+    _abstract_legr,
+    _abstract_prune,
+    _abstract_tucker_factorize,
+    _abstract_uniform_scale,
+)
 from repro.knowledge.experience import ExperienceRecord
 from repro.knowledge.transr import TransR
 from repro.space.hyperparams import HP_GRID
+from repro.space.scheme import CompressionScheme
 from repro.space.strategy import CompressionStrategy, StrategySpace
 
 
@@ -164,3 +180,62 @@ def reference_nearest_strategy(
         return total
 
     return min(candidates, key=distance)
+
+
+# ---------------------------------------------------------------------------
+# Static cost model: every strategy applied from its HP mapping, uncached
+# ---------------------------------------------------------------------------
+def _reference_prune_mode(label: str, hp) -> str:
+    if label == "C3":
+        return "drain"
+    if label == "C4":
+        return "l2_norm"
+    if label == "C5" and hp.get("HP11") == "P2" and hp.get("HP12") == "l1norm":
+        return "l1_norm"
+    return "proportional"
+
+
+def reference_apply_strategy(model: AbstractModel, strategy, base_params: int) -> None:
+    label = strategy.method_label
+    hp = strategy.hp
+    budget = int(round(float(hp.get("HP2", 0.0)) * base_params))
+    mode = _reference_prune_mode(label, hp)
+    if label == "C1":
+        _abstract_uniform_scale(model, budget)
+    elif label == "C2":
+        generations = int(
+            round(float(hp.get("HP7", 0.5)) * _LEGR_PRETRAIN_EPOCHS)
+        )
+        _abstract_legr(
+            model,
+            budget,
+            max_ratio=float(hp.get("HP6", 0.9)),
+            criterion=str(hp.get("HP8", "l2_weight")),
+            generations=generations,
+        )
+    elif label == "C3":
+        _abstract_prune(model, budget, max_ratio=float(hp.get("HP6", 0.9)), mode=mode)
+    elif label == "C4":
+        _abstract_prune(model, budget, max_ratio=0.9, mode=mode)
+    elif label == "C5":
+        removed = _abstract_prune(
+            model, int(round(budget * 0.5)), max_ratio=0.9, mode=mode
+        )
+        _abstract_tucker_factorize(model, budget - removed)
+    elif label == "C6":
+        _abstract_basis_factorize(model, budget)
+    elif label == "C7":
+        model.weight_bits = int(hp.get("HP17", DEFAULT_WEIGHT_BITS))
+    elif label == "C8":
+        model.weight_bits = 8 if str(hp.get("HP19", "int8")) == "int8" else 16
+    else:
+        raise ValueError(f"no effect signature for method {label!r}")
+
+
+def reference_predict(base: AbstractModel, scheme: CompressionScheme) -> CostPrediction:
+    """Prediction for ``scheme`` from a fresh copy of ``base``, no caching."""
+    base_params = base.params()
+    state = base.clone()
+    for strategy in scheme:
+        reference_apply_strategy(state, strategy, base_params)
+    return state.predict()

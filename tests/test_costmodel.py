@@ -199,6 +199,41 @@ def test_set_budget_round_trip(space):
     assert evaluator.is_feasible(shallow)
 
 
+def test_custom_module_without_units_leaves_budget_a_no_op(space):
+    """A module the cost model cannot lower (no ``pruning_units``) has no
+    cost model, and every scheme counts as feasible."""
+    from repro.core.evaluator import SurrogateEvaluator
+    from repro.nn import Conv2d, Flatten, GlobalAvgPool2d, Linear, Sequential
+
+    task = transfer_task(EXP1, "resnet20", 0.27, 0.08, EXP1.model_accuracy)
+    evaluator = SurrogateEvaluator(
+        lambda: Sequential(Conv2d(3, 8, 3, padding=1), GlobalAvgPool2d(), Flatten(),
+                           Linear(8, 10)),
+        "resnet20",
+        "cifar10",
+        task,
+        config=EvaluatorConfig(budget=Budget(max_params=1)),
+    )
+    assert evaluator.cost_model is None
+    assert evaluator.is_feasible(space.parse_scheme("C3[HP1=0.1,HP2=0.12,HP6=0.7]"))
+    assert evaluator.budget_filtered == 0
+
+
+def test_cost_model_fault_propagates_from_is_feasible(space, monkeypatch):
+    """Any other construction failure surfaces instead of unbudgeting."""
+    from repro.analysis.costmodel import AbstractModel
+
+    def broken(cls, graph, model):
+        raise AttributeError("injected fault", name="out_channels", obj=model)
+
+    monkeypatch.setattr(AbstractModel, "from_graph", classmethod(broken))
+    evaluator = make_evaluator(budget=tight_budget())
+    shallow = space.parse_scheme("C3[HP1=0.1,HP2=0.12,HP6=0.7]")
+    for _ in range(2):  # a second check does not fall back to "no model"
+        with pytest.raises(AttributeError, match="injected fault"):
+            evaluator.is_feasible(shallow)
+
+
 def test_budget_excluded_from_fingerprint():
     plain = make_evaluator().config.fingerprint_payload()
     budgeted = make_evaluator(budget=tight_budget()).config.fingerprint_payload()
