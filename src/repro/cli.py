@@ -86,7 +86,8 @@ def cmd_search(args) -> int:
                 f"{stats['fresh_evaluations']} fresh evaluations, "
                 f"{stats['cache_hits']} persistent-cache hits "
                 f"({foreign} written by other runs), "
-                f"{stats['steps_replayed']} steps replayed"
+                f"{stats['steps_replayed']} steps replayed, "
+                f"{_format_blas(stats.get('blas_threads'))}"
             )
         if stats.get("snapshot_hits"):
             print(
@@ -495,6 +496,14 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _format_blas(blas) -> str:
+    """One phrase for a ``blas_threads`` stats entry (see LanePool.stats)."""
+    if blas is None:
+        return "BLAS threads not controllable"
+    lanes = ", ".join("?" if n is None else str(n) for n in blas["lanes"]) or "none"
+    return f"BLAS threads: parent {blas['parent']}, lanes {lanes}"
+
+
 def cmd_serve(args) -> int:
     import signal
 
@@ -523,7 +532,8 @@ def cmd_serve(args) -> int:
     print(
         f"repro serve: listening on {daemon.host}:{daemon.port} "
         f"(state dir {daemon.state_dir}, {args.workers} worker lanes, "
-        f"max {args.max_jobs} concurrent jobs)",
+        f"max {args.max_jobs} concurrent jobs; "
+        f"{_format_blas(daemon.scheduler.stats()['blas_threads'])})",
         flush=True,
     )
     try:

@@ -41,6 +41,7 @@ charged costs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -125,6 +126,57 @@ def _worker_evaluator(token: str, config) -> object:
 def _worker_pid() -> int:
     """Identify (and force-start) a lane's worker process."""
     return os.getpid()
+
+
+#: OpenBLAS pool-size entry points, tried in order per loaded library: a
+#: system OpenBLAS, then the scipy-openblas builds that numpy (64-bit ints)
+#: and scipy wheels each bundle
+_OPENBLAS_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_pools() -> list:
+    """``(set, get)`` thread-count functions of each OpenBLAS in this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split(maxsplit=5)[-1].strip() for line in maps]
+    except OSError:  # no procfs: not Linux
+        return []
+    pools = []
+    for path in dict.fromkeys(p for p in paths if "openblas" in p.rsplit("/", 1)[-1]):
+        try:  # RTLD_NOLOAD: only ever bind a library that is already loaded
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                pools.append((set_threads, get_threads))
+                break
+    return pools
+
+
+def blas_threads(count: Optional[int] = None) -> Optional[int]:
+    """Read, or set to ``count``, this process's OpenBLAS thread count.
+
+    Returns the count before any change (that of the first OpenBLAS loaded;
+    every loaded one is set), or ``None``, changing nothing, when no
+    OpenBLAS with a thread-count API is loaded: another BLAS, another OS.
+    Lane workers run it as their initializer with ``count=1``.
+    """
+    pools = _openblas_pools()
+    if not pools:
+        return None
+    previous = int(pools[0][1]())
+    if count is not None:
+        for set_threads, _ in pools:
+            set_threads(max(1, int(count)))
+    return previous
 
 
 @dataclass
@@ -281,6 +333,12 @@ class LanePool:
     its affinity entries, so the lane rejoins the pool cold while other
     lanes — and other jobs — continue unaffected.  ``lane_restarts`` counts
     revivals.
+
+    BLAS threads: every lane worker runs OpenBLAS with one thread (set by
+    the executor initializer, so first spawns and revived lanes alike).
+    ``workers`` lanes each defaulting to a pool of ``nproc`` threads would
+    oversubscribe the cores ``workers``-fold; the lane count is the
+    parallelism.  ``stats()["blas_threads"]`` reports each lane's count.
     """
 
     def __init__(self, workers: int):
@@ -290,6 +348,8 @@ class LanePool:
         self.lane_restarts = 0
         self._lock = threading.Lock()
         self._executors: List[Optional[ProcessPoolExecutor]] = [None] * workers
+        #: each live lane's first task: its BLAS thread count, read back
+        self._blas_probes: List[Optional[Future]] = [None] * workers
         self._pending = [0] * workers
         self._affinity: Dict[str, int] = {}  # scheme identifier → lane index
         self._closed = False
@@ -322,10 +382,7 @@ class LanePool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("LanePool is closed")
-            executor = self._executors[lane]
-            if executor is None:
-                executor = ProcessPoolExecutor(max_workers=1)
-                self._executors[lane] = executor
+            executor = self._executors[lane] or self._spawn_lane(lane)
             self._pending[lane] += len(group)
         try:
             return executor.submit(_worker_evaluate_group, token, config, list(group))
@@ -337,6 +394,16 @@ class LanePool:
             future: Future = Future()
             future.set_exception(exc)
             return future
+
+    def _spawn_lane(self, lane: int) -> ProcessPoolExecutor:
+        """Start ``lane``'s one-process executor (caller holds the lock)."""
+        executor = ProcessPoolExecutor(
+            max_workers=1, initializer=blas_threads, initargs=(1,)
+        )
+        self._executors[lane] = executor
+        # queued first: it has run before any group, and stats() reads it
+        self._blas_probes[lane] = executor.submit(blas_threads)
+        return executor
 
     def complete(
         self, lane: int, group: Sequence[CompressionScheme],
@@ -354,6 +421,7 @@ class LanePool:
         with self._lock:
             executor = self._executors[lane]
             self._executors[lane] = None
+            self._blas_probes[lane] = None
             self.lane_restarts += 1
             self._affinity = {
                 key: value for key, value in self._affinity.items() if value != lane
@@ -372,10 +440,7 @@ class LanePool:
             with self._lock:
                 if self._closed:
                     raise RuntimeError("LanePool is closed")
-                executor = self._executors[lane]
-                if executor is None:
-                    executor = ProcessPoolExecutor(max_workers=1)
-                    self._executors[lane] = executor
+                executor = self._executors[lane] or self._spawn_lane(lane)
             futures.append(executor.submit(_worker_pid))
         return [future.result() for future in futures]
 
@@ -388,20 +453,29 @@ class LanePool:
         return self.lane_pids()
 
     def stats(self) -> dict:
+        """Routing counters plus ``blas_threads``: each lane's BLAS thread
+        count (``None`` for a lane not started yet), or ``None`` when the
+        BLAS is not controllable."""
         with self._lock:
-            return {
+            stats = {
                 "workers": self.workers,
                 "pending": list(self._pending),
                 "affinity_entries": len(self._affinity),
                 "lane_restarts": self.lane_restarts,
                 "live_lanes": sum(1 for e in self._executors if e is not None),
             }
+            probes = list(self._blas_probes)
+        stats["blas_threads"] = (
+            [_probe_result(p) for p in probes] if blas_threads() is not None else None
+        )
+        return stats
 
     def close(self) -> None:
         """Shut all lanes down (idempotent).  Affinity is forgotten."""
         with self._lock:
             executors = [e for e in self._executors if e is not None]
             self._executors = [None] * self.workers
+            self._blas_probes = [None] * self.workers
             self._pending = [0] * self.workers
             self._affinity = {}
             self._closed = True
@@ -413,6 +487,23 @@ class LanePool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def lane_blas_threads(pool: Optional[LanePool]) -> Optional[dict]:
+    """``{"parent": n, "lanes": [...]}``: this process's BLAS thread count
+    and each lane's (``[]`` without a pool), or ``None`` when the BLAS is
+    not controllable."""
+    parent = blas_threads()
+    if parent is None:
+        return None
+    return {"parent": parent, "lanes": pool.stats()["blas_threads"] if pool else []}
+
+
+def _probe_result(probe: Optional[Future]) -> Optional[int]:
+    """A finished lane probe's value; ``None`` if pending, absent or failed."""
+    if probe is None or not probe.done() or probe.cancelled() or probe.exception():
+        return None
+    return probe.result()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.costmodel import Budget
 from ..core.config import EvaluatorConfig
-from ..core.engine import EvaluationEngine
+from ..core.engine import EvaluationEngine, lane_blas_threads
 from ..core.evaluator import EvaluationResult, SurrogateEvaluator
 from ..core.progressive import ProgressiveConfig
 from ..core.search import SearchResult
@@ -213,6 +213,7 @@ def run_algorithm(
                 "steps_replayed": evaluator.steps_replayed,
                 "snapshot_hits": evaluator.snapshot_hits,
                 "snapshot_steps_saved": evaluator.snapshot_steps_saved,
+                "blas_threads": lane_blas_threads(evaluator.lane_pool),
             }
         if config.latency_batch is not None:
             stats = result.engine_stats or {}

@@ -28,11 +28,13 @@ fine-tuning journal, generalised to a live protocol.
 
 from __future__ import annotations
 
+import os
 import socketserver
 import threading
 import time
 from typing import Optional
 
+from ..core.engine import blas_threads
 from .jobs import TERMINAL_STATES, JobSpec
 from .protocol import (
     ProtocolError,
@@ -53,7 +55,13 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class ServeDaemon:
-    """Own a scheduler, a TCP server, and the endpoint discovery file."""
+    """Own a scheduler, a TCP server, and the endpoint discovery file.
+
+    With lanes (``workers > 0``) the daemon also owns its process's BLAS
+    thread count: each lane runs one thread, so the daemon keeps the cores
+    the lanes leave, ``max(1, cpus - workers)``, and :meth:`stop` restores
+    the count it found.  Without lanes the count is left as it is.
+    """
 
     def __init__(
         self,
@@ -85,6 +93,11 @@ class ServeDaemon:
         self.shutdown_requested = threading.Event()
         # lanes fork before any job/handler thread exists
         self.scheduler.prestart()
+        self._blas_restore: Optional[int] = None
+        if self.scheduler.lane_pool is not None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            self._blas_restore = blas_threads(max(1, cpus - workers))
         write_endpoint(self.state_dir, self.host, self.port)
 
     # ------------------------------------------------------------------ #
@@ -109,6 +122,9 @@ class ServeDaemon:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self.scheduler.close(wait_jobs=wait_jobs)
+        if self._blas_restore is not None:
+            blas_threads(self._blas_restore)
+            self._blas_restore = None
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()
@@ -146,8 +162,6 @@ class ServeDaemon:
     def _respond(self, op, request: dict) -> dict:
         scheduler = self.scheduler
         if op == "ping":
-            import os
-
             return {"ok": True, "pid": os.getpid(), "state_dir": str(self.state_dir)}
         if op == "submit":
             spec = JobSpec.from_payload(request.get("spec") or {})

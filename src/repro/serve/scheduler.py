@@ -32,7 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..core.engine import EvaluationEngine, LanePool, WorkerError
+from ..core.engine import EvaluationEngine, LanePool, WorkerError, lane_blas_threads
 from ..core.progressive import ProgressiveConfig
 from ..core.search import SearchResult
 from ..core.solver import make_solver
@@ -119,6 +119,9 @@ class JobScheduler:
         return self.table.get(job_id)
 
     def stats(self) -> dict:
+        """Job states, lane-pool counters, result-cache size, and
+        ``blas_threads`` (see :func:`~repro.core.engine.lane_blas_threads`;
+        ``parent`` is the daemon process)."""
         states: Dict[str, int] = {}
         for record in self.table.list():
             states[record.state] = states.get(record.state, 0) + 1
@@ -128,6 +131,7 @@ class JobScheduler:
             "jobs": states,
             "lane_pool": self.lane_pool.stats() if self.lane_pool else None,
             "result_cache": cache_stats(self.cache_dir),
+            "blas_threads": lane_blas_threads(self.lane_pool),
         }
 
     def close(self, wait_jobs: bool = False) -> None:

@@ -79,6 +79,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Random" in out and "Pareto" in out
 
+    def test_search_with_workers_reports_blas_threads(self, capsys):
+        from repro.core.engine import blas_threads
+
+        assert main(["search", "exp1", "--solver", "random", "--budget", "0.5",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        if blas_threads() is None:
+            assert "BLAS threads not controllable" in out
+        else:
+            assert f"BLAS threads: parent {blas_threads()}, lanes 1, 1" in out
+
     def test_search_with_journal_then_summarize(self, capsys, tmp_path):
         journal = str(tmp_path / "run.jsonl")
         assert main(["search", "exp1", "--algorithm", "Random", "--budget", "0.2",

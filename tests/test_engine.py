@@ -6,6 +6,7 @@ fingerprint-mismatch cache misses, the `EvaluatorConfig` deprecation shim,
 and PYTHONHASHSEED-independence of evaluation results.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -24,6 +25,8 @@ from repro.core import (
     SurrogateEvaluator,
     TrainingEvaluator,
 )
+from repro.core import engine as engine_module
+from repro.core.engine import LanePool, blas_threads
 from repro.core.evaluator import stable_hash
 from repro.data.datasets import tiny_dataset
 from repro.data.tasks import EXP1, transfer_task
@@ -120,6 +123,109 @@ class TestSerialParallelEquivalence:
         batched = make_surrogate()
         batched.evaluate_many(schemes)
         assert one_by_one.total_cost == batched.total_cost
+
+
+needs_blas = pytest.mark.skipif(
+    blas_threads() is None, reason="no controllable OpenBLAS in this process"
+)
+
+
+@pytest.fixture
+def multithreaded_parent():
+    """Run the parent's BLAS at >= 2 threads, so lanes (1 thread) differ."""
+    previous = blas_threads(max(2, blas_threads() or 0))
+    yield blas_threads()
+    blas_threads(previous)
+
+
+def lane_blas_counts(engine):
+    """BLAS thread counts reported by the lanes an engine has started."""
+    return {n for n in engine.lane_pool.stats()["blas_threads"] if n is not None}
+
+
+class TestBlasThreads:
+    @needs_blas
+    def test_set_get_round_trip(self):
+        previous = blas_threads(3)
+        try:
+            assert blas_threads() == 3
+            assert blas_threads(1) == 3
+            assert blas_threads() == 1
+        finally:
+            blas_threads(previous)
+        assert blas_threads() == previous
+
+    @pytest.mark.parametrize("maps", [
+        "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libc.so.6\n"
+        "7f02-7f03 rw-p 00000000 00:00 0\n",
+        OSError("no procfs"),
+    ])
+    def test_noop_without_openblas(self, monkeypatch, maps):
+        def fake_open(path, *args, **kwargs):
+            if isinstance(maps, Exception):
+                raise maps
+            return io.StringIO(maps)
+
+        monkeypatch.setattr(engine_module, "open", fake_open, raising=False)
+        assert blas_threads() is None
+        assert blas_threads(1) is None
+        with LanePool(1) as pool:
+            assert pool.stats()["blas_threads"] is None
+        assert engine_module.lane_blas_threads(None) is None
+
+    @needs_blas
+    def test_each_lane_runs_one_thread(self, multithreaded_parent):
+        with LanePool(2) as pool:
+            assert pool.stats()["blas_threads"] == [None, None]  # not started
+            pool.prestart()
+            assert pool.stats()["blas_threads"] == [1, 1]
+            assert engine_module.lane_blas_threads(pool) == {
+                "parent": multithreaded_parent, "lanes": [1, 1],
+            }
+        assert blas_threads() == multithreaded_parent  # lanes never touch it
+
+
+@needs_blas
+class TestBitIdentityAcrossBlasThreads:
+    """Serial (parent at >= 2 BLAS threads) == lanes (1 thread each).
+
+    OpenBLAS does not promise thread-count-independent bits in general
+    (large GEMMs and SVDs do differ here); these batches pin the contract
+    for the shapes the evaluators actually run.
+    """
+
+    def test_surrogate_c1_to_c6(self, space, multithreaded_parent):
+        batch = [
+            CompressionScheme((space.of_method(label)[3],))
+            for label in ("C1", "C2", "C3", "C4", "C5", "C6")
+        ]
+        serial = EvaluationEngine(make_surrogate(), workers=0)
+        with EvaluationEngine(make_surrogate(), workers=2) as parallel:
+            for a, b in zip(serial.evaluate_many(batch), parallel.evaluate_many(batch)):
+                assert_results_identical(a, b)
+            assert serial.total_cost == parallel.total_cost
+            assert lane_blas_counts(parallel) == {1}
+
+    def test_training_resnet8_16x16(self, space, multithreaded_parent):
+        train = tiny_dataset(num_classes=4, num_samples=64, image_size=16, seed=1)
+        val = tiny_dataset(num_classes=4, num_samples=32, image_size=16, seed=2)
+        batch = [
+            CompressionScheme((space.of_method(label)[2],))
+            for label in ("C2", "C3", "C5", "C6")
+        ]
+
+        def make():
+            return TrainingEvaluator(
+                "resnet8", train, val,
+                config=EvaluatorConfig(pretrain_epochs=1.0, seed=5),
+            )
+
+        serial = EvaluationEngine(make(), workers=0)
+        with EvaluationEngine(make(), workers=2) as parallel:
+            for a, b in zip(serial.evaluate_many(batch), parallel.evaluate_many(batch)):
+                assert_results_identical(a, b)
+            assert serial.total_cost == parallel.total_cost
+            assert lane_blas_counts(parallel) == {1}
 
 
 class TestPersistentCache:

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import AutoMC
 from repro.core.config import EvaluatorConfig
-from repro.core.engine import EvaluationEngine, LanePool, WorkerError
+from repro.core.engine import EvaluationEngine, LanePool, WorkerError, blas_threads
 from repro.data.tasks import EXP1, transfer_task
 from repro.serve import (
     JobScheduler,
@@ -358,6 +358,57 @@ class TestLanePoolFaults:
             assert record.state == "completed"
         finally:
             scheduler.close()
+
+
+# --------------------------------------------------------------------------- #
+@pytest.mark.skipif(blas_threads() is None, reason="no controllable OpenBLAS")
+class TestBlasThreads:
+    """Lanes run one BLAS thread; the daemon takes the cores left over and
+    gives its process's count back on stop."""
+
+    @pytest.fixture
+    def parent_threads(self):
+        previous = blas_threads(3)
+        yield 3
+        blas_threads(previous)
+
+    def test_revived_lane_runs_one_thread(self, parent_threads):
+        with LanePool(1) as pool:
+            (pid,) = pool.prestart()
+            os.kill(pid, signal.SIGKILL)
+            engine = _fresh_engine(pool)
+            with pytest.raises(WorkerError):
+                engine.evaluate_many(_schemes())
+            assert pool.lane_restarts >= 1
+            engine.evaluate_many(_schemes())  # respawns the lane
+            engine.close()
+            assert pool.stats()["blas_threads"] == [1]
+
+    def test_daemon_sizes_its_pool_and_stop_restores_it(
+        self, tmp_path, parent_threads
+    ):
+        cpus = len(os.sched_getaffinity(0))
+        daemon = ServeDaemon(tmp_path / "state", workers=1, recover=False).start()
+        try:
+            assert blas_threads() == max(1, cpus - 1)
+            stats = ServeClient(daemon.state_dir).stats()
+            assert stats["blas_threads"] == {
+                "parent": max(1, cpus - 1), "lanes": [1],
+            }
+            assert stats["lane_pool"]["blas_threads"] == [1]
+        finally:
+            daemon.stop()
+        assert blas_threads() == parent_threads
+        daemon.stop()  # a second stop restores nothing twice
+        assert blas_threads() == parent_threads
+
+    def test_daemon_without_lanes_keeps_the_count(self, tmp_path, parent_threads):
+        with ServeDaemon(tmp_path / "state", workers=0, recover=False) as daemon:
+            assert blas_threads() == parent_threads
+            assert daemon.scheduler.stats()["blas_threads"] == {
+                "parent": parent_threads, "lanes": [],
+            }
+        assert blas_threads() == parent_threads
 
 
 # --------------------------------------------------------------------------- #
